@@ -15,10 +15,6 @@ class HostAdapter final : public sim::Host {
   explicit HostAdapter(Middleware& mw) : mw_(mw) {}
 
   void on_datagram(NodeId from,
-                   std::span<const std::uint8_t> payload) override {
-    mw_.on_datagram(from, payload);
-  }
-  void on_datagram(NodeId from,
                    std::shared_ptr<const wire::Bytes> payload) override {
     mw_.on_datagram(from, std::move(payload));
   }

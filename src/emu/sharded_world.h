@@ -5,7 +5,8 @@
 // that advance in conservative-lookahead epochs (docs/SIM.md).  The
 // trade-offs versus World: population is frozen after seal(), churn is
 // expressed as quiescent-point teleports (move_node), and mobility
-// models / wired mode / fault injection are not available.  In exchange,
+// models / wired mode / fault injection / despawn are not available;
+// the radio and device profiles are the same sim::Radio.  In exchange,
 // worlds of 50k–100k nodes run on all cores, bit-for-bit reproducibly
 // per (seed, shard_count).
 //

@@ -20,15 +20,14 @@
 // Packing is greedy in enqueue order: a chunk that would overflow the
 // current datagram starts the next one; a single chunk larger than the
 // MTU is sent alone and counted (net.batch.oversize) — whether the link
-// then drops it is the link's business (UdpOptions::mtu, the sim's
-// per-link MTU check).
+// then drops it is the link's business (UdpOptions::mtu).
 //
 // Disabled mode (BatchOptions::enabled == false) is the v1 wire,
 // bit-for-bit: hello()/data() emit legacy HELLO/DATA datagrams
 // immediately, no timer, no BATCH framing — this is what keeps the
-// committed sim baselines byte-identical.  rel()/ack()/digest() have no
-// v1 encoding and always use (single-chunk) BATCH datagrams; the
-// session layer only enables those features together with batching.
+// committed transport baselines byte-identical.  rel()/ack()/digest()
+// have no v1 encoding and always use (single-chunk) BATCH datagrams;
+// the session layer only enables those features together with batching.
 //
 // Metrics: net.batch.tx (BATCH datagrams sent), net.batch.chunks
 // (chunks carried), net.batch.flush (flush rounds), net.batch.oversize.
@@ -62,9 +61,9 @@ struct BatchOptions {
   SimTime flush_delay = SimTime::zero();
 };
 
-/// Packs `chunks` into as few BATCH datagrams as `options` allows
-/// (shared by Batcher and sim::Network's batching path).  Oversize
-/// single chunks are emitted alone; `oversize` (optional) counts them.
+/// Packs `chunks` into as few BATCH datagrams as `options` allows (the
+/// Batcher's flush).  Oversize single chunks are emitted alone;
+/// `oversize` (optional) counts them.
 std::vector<wire::Bytes> pack_batches(NodeId sender,
                                       std::vector<EncodedChunk> chunks,
                                       const BatchOptions& options,

@@ -8,7 +8,8 @@
 // profiles existed, so worlds that never call set_profile() stay
 // bit-for-bit identical to the committed bench baselines.
 //
-// Semantics (applied by sim::Network / sim::ShardedSim per delivery):
+// Semantics (applied per delivery by sim::Radio, the link model both
+// simulators share):
 //
 //  * duty_cycle / duty_period — the receiver sleeps its radio: a frame
 //    landing while the node is asleep is dropped (`net.duty_drop`).

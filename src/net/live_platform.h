@@ -41,20 +41,15 @@ class Middleware;
 
 namespace tota::net {
 
-struct LiveOptions {
+/// The session knobs (SessionOptions: discovery plus the v2 wire
+/// features — MTU-aware batching, the reliable control channel, the
+/// anti-entropy digest cadence; all v2 features default off, so the
+/// default wire is v1, byte-for-byte) plus what a live node adds.
+struct LiveOptions : SessionOptions {
   /// This node's identity on the wire (must be nonzero and unique per
   /// group; collisions make two processes one schizophrenic node).
   NodeId id;
   UdpOptions transport;
-  DiscoveryOptions discovery;
-  /// v2 wire features (net/session.h): MTU-aware batching, the reliable
-  /// control channel, the anti-entropy digest cadence.  All default off
-  /// — the default wire is v1, byte-for-byte.
-  BatchOptions batch;
-  bool reliable = false;
-  ReliableOptions rel;
-  SimTime digest_period = SimTime::zero();
-  std::uint32_t digest_buckets = 32;
   /// Reported by position(); live nodes without a real location sensor
   /// just stand still wherever they are configured.
   Vec2 position{};

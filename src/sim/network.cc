@@ -43,22 +43,8 @@ Network::Network(NetworkParams params, obs::Hub* hub)
                                           ? Topology::Mode::kExplicit
                                           : Topology::Mode::kDisc),
       radio_(params.radio),
-      radio_tx_(hub_.metrics.counter("radio.tx")),
-      radio_tx_bytes_(hub_.metrics.counter("radio.tx_bytes")),
-      radio_rx_(hub_.metrics.counter("radio.rx")),
-      radio_lost_(hub_.metrics.counter("radio.lost")),
-      link_up_(hub_.metrics.counter("link.up")),
-      link_down_(hub_.metrics.counter("link.down")),
-      mtu_drop_(hub_.metrics.counter("net.mtu_drop")),
-      duty_drop_(hub_.metrics.counter("net.duty_drop")),
+      radio_counters_(hub_.metrics),
       frame_codec_(hub_.metrics) {
-  if (params_.batch.enabled) {
-    batch_tx_ = &hub_.metrics.counter("net.batch.tx");
-    batch_chunks_ = &hub_.metrics.counter("net.batch.chunks");
-    batch_flush_ = &hub_.metrics.counter("net.batch.flush");
-    batch_oversize_ = &hub_.metrics.counter("net.batch.oversize");
-    frame_bad_ = &hub_.metrics.counter("net.frame.bad");
-  }
   if (params_.fault.enabled()) {
     // The fork below is the only extra Rng draw a faulted configuration
     // makes from the network stream; a benign plan leaves the stream —
@@ -141,58 +127,19 @@ void Network::set_profile(NodeId id, net::DeviceProfile profile) {
   if (nodes_.find(id) == nodes_.end()) {
     throw std::invalid_argument("unknown node id");
   }
-  if (profile.is_default()) {
-    profiles_.erase(id);  // keep the no-profile hot path hot
-  } else {
-    profiles_[id] = profile;
-  }
-}
-
-const net::DeviceProfile& Network::profile(NodeId id) const {
-  static const net::DeviceProfile kDefault{};
-  const auto it = profiles_.find(id);
-  return it == profiles_.end() ? kDefault : it->second;
+  radio_.set_profile(id, profile);
 }
 
 void Network::broadcast(NodeId from, wire::Bytes payload) {
   if (!topology_.contains(from)) return;  // sender died mid-flight
-  if (params_.batch.enabled) {
-    enqueue_batch(from, std::move(payload));
-    return;
-  }
-  radio_tx_.inc();
-  radio_tx_bytes_.inc(static_cast<std::int64_t>(payload.size()));
+  const Radio::Transmission tx =
+      radio_.transmit(from, payload.size(), events_.now(), radio_counters_);
   const auto receivers = topology_.neighbors(from);
   // One shared payload for all receivers of this frame.
   auto shared = std::make_shared<const wire::Bytes>(std::move(payload));
-  // Device heterogeneity (net/device_profile.h).  Profile checks are
-  // pure functions of time and frame size — no Rng draws — and an
-  // MTU-dropped link skips the loss/latency draws entirely, so a world
-  // with no profiles runs the exact pre-profile Rng stream.
-  const net::DeviceProfile* sender =
-      profiles_.empty() ? nullptr : &profile(from);
   for (const NodeId to : receivers) {
-    if (sender != nullptr) {
-      const std::size_t mtu =
-          net::DeviceProfile::link_mtu(*sender, profile(to));
-      if (mtu != 0 && shared->size() > mtu) {
-        mtu_drop_.inc();
-        continue;
-      }
-    }
-    if (!radio_.delivered(rng_)) {
-      radio_lost_.inc();
-      continue;
-    }
-    SimTime delay = radio_.delay(rng_, shared->size());
-    if (sender != nullptr) {
-      if (sender->tx_delay_scale != 1.0) delay = delay * sender->tx_delay_scale;
-      // The receiver's radio must be listening when the frame lands.
-      if (!profile(to).awake_at(events_.now() + delay)) {
-        duty_drop_.inc();
-        continue;
-      }
-    }
+    const auto delay = radio_.receive(tx, to, rng_, radio_counters_);
+    if (!delay.has_value()) continue;
     if (fault_ != nullptr) {
       // Adversity layer between the radio model and the receiver: the
       // injector may drop/hold/damage this delivery.  Damaged or
@@ -200,13 +147,13 @@ void Network::broadcast(NodeId from, wire::Bytes payload) {
       // each surviving receiver parses what *it* received).
       fault_->process(
           std::span(*shared),
-          [this, from, to, delay](const wire::Bytes& bytes) {
+          [this, from, to, delay = *delay](const wire::Bytes& bytes) {
             deliver_after(delay, from, to,
                           std::make_shared<const wire::Bytes>(bytes));
           },
           from, to);
     } else {
-      deliver_after(delay, from, to, shared);
+      deliver_after(*delay, from, to, shared);
     }
   }
 }
@@ -220,98 +167,9 @@ void Network::deliver_after(SimTime delay, NodeId from, NodeId to,
                                it->second.host == nullptr) {
                              return;
                            }
-                           radio_rx_.inc();
+                           radio_counters_.rx.inc();
                            it->second.host->on_datagram(from, payload);
                          });
-}
-
-void Network::enqueue_batch(NodeId from, wire::Bytes payload) {
-  auto& pending = batch_pending_[from];
-  pending.push_back(net::Datagram::chunk_data(payload));
-  if (pending.size() == 1) {
-    // First chunk arms the flush; a zero flush_delay still runs after
-    // the current event, so everything a node emits within one event
-    // instant (e.g. its reactions to one received batch) coalesces.
-    events_.schedule_after(params_.batch.flush_delay,
-                           [this, from] { flush_batch(from); });
-  }
-}
-
-void Network::flush_batch(NodeId from) {
-  const auto it = batch_pending_.find(from);
-  if (it == batch_pending_.end() || it->second.empty()) return;
-  auto chunks = std::exchange(it->second, {});
-  if (!topology_.contains(from)) return;  // died while pending
-  batch_flush_->inc();
-  batch_chunks_->inc(static_cast<std::int64_t>(chunks.size()));
-  auto datagrams = net::pack_batches(from, std::move(chunks), params_.batch,
-                                     batch_oversize_);
-  batch_tx_->inc(static_cast<std::int64_t>(datagrams.size()));
-  for (auto& d : datagrams) transmit_batch(from, std::move(d));
-}
-
-void Network::transmit_batch(NodeId from, wire::Bytes datagram) {
-  radio_tx_.inc();
-  radio_tx_bytes_.inc(static_cast<std::int64_t>(datagram.size()));
-  const auto receivers = topology_.neighbors(from);
-  auto shared = std::make_shared<const wire::Bytes>(std::move(datagram));
-  const net::DeviceProfile* sender =
-      profiles_.empty() ? nullptr : &profile(from);
-  for (const NodeId to : receivers) {
-    if (sender != nullptr) {
-      const std::size_t mtu =
-          net::DeviceProfile::link_mtu(*sender, profile(to));
-      if (mtu != 0 && shared->size() > mtu) {
-        mtu_drop_.inc();  // the whole batch: coalescing raises the stakes
-        continue;
-      }
-    }
-    if (!radio_.delivered(rng_)) {
-      radio_lost_.inc();
-      continue;
-    }
-    SimTime delay = radio_.delay(rng_, shared->size());
-    if (sender != nullptr) {
-      if (sender->tx_delay_scale != 1.0) delay = delay * sender->tx_delay_scale;
-      if (!profile(to).awake_at(events_.now() + delay)) {
-        duty_drop_.inc();
-        continue;
-      }
-    }
-    if (fault_ != nullptr) {
-      fault_->process(
-          std::span(*shared),
-          [this, from, to, delay](const wire::Bytes& bytes) {
-            deliver_batch_after(delay, from, to,
-                                std::make_shared<const wire::Bytes>(bytes));
-          },
-          from, to);
-    } else {
-      deliver_batch_after(delay, from, to, shared);
-    }
-  }
-}
-
-void Network::deliver_batch_after(
-    SimTime delay, NodeId from, NodeId to,
-    std::shared_ptr<const wire::Bytes> datagram) {
-  events_.schedule_after(
-      delay, [this, from, to, datagram = std::move(datagram)] {
-        const auto it = nodes_.find(to);
-        if (it == nodes_.end() || it->second.host == nullptr) return;
-        radio_rx_.inc();
-        net::Datagram d;
-        try {
-          d = net::Datagram::decode(*datagram);
-        } catch (const wire::DecodeError&) {
-          frame_bad_->inc();  // fault-corrupted past recognition
-          return;
-        }
-        for (const net::Chunk& chunk : d.chunks) {
-          if (chunk.kind != net::ChunkKind::kData) continue;
-          it->second.host->on_datagram(from, chunk.payload);
-        }
-      });
 }
 
 void Network::run_until(SimTime deadline) { events_.run_until(deadline); }
@@ -354,13 +212,13 @@ void Network::refresh_links() {
     std::sort(downs.begin(), downs.end());
     for (const NodeId old : downs) {
       state.neighbors.erase(old);
-      link_down_.inc();
+      radio_counters_.link_down.inc();
       notify_link(id, old, /*up=*/false);
     }
     for (const NodeId fresh : current_vec) {  // already sorted
       if (!state.neighbors.count(fresh)) {
         state.neighbors.insert(fresh);
-        link_up_.inc();
+        radio_counters_.link_up.inc();
         notify_link(id, fresh, /*up=*/true);
       }
     }

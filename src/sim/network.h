@@ -15,7 +15,6 @@
 #include "common/geometry.h"
 #include "common/ids.h"
 #include "common/rng.h"
-#include "net/batch.h"
 #include "net/device_profile.h"
 #include "net/fault.h"
 #include "obs/hub.h"
@@ -50,14 +49,6 @@ struct NetworkParams {
   /// layer's loss.  The default (benign) plan is bypassed entirely, so
   /// behaviour and the Rng stream are bit-for-bit unchanged.
   net::FaultPlan fault;
-  /// v2 frame coalescing under the simulated radio (net/batch.h): when
-  /// enabled, broadcasts from one node pend as DATA chunks and go on
-  /// the air as BATCH datagrams after `batch.flush_delay` — pricing the
-  /// radio (loss, MTU, airtime, faults) per *datagram* instead of per
-  /// frame, exactly like the live transport.  Disabled (the default)
-  /// takes the legacy per-frame path bit-for-bit: same Rng stream, same
-  /// committed baselines.
-  net::BatchOptions batch;
 };
 
 class Network {
@@ -114,7 +105,6 @@ class Network {
   /// sets one takes the pre-profile code path bit-for-bit (same Rng
   /// stream, same baselines).
   void set_profile(NodeId id, net::DeviceProfile profile);
-  [[nodiscard]] const net::DeviceProfile& profile(NodeId id) const;
 
   // --- communication ------------------------------------------------------
 
@@ -178,27 +168,6 @@ class Network {
   void deliver_after(SimTime delay, NodeId from, NodeId to,
                      std::shared_ptr<const wire::Bytes> payload);
 
-  // --- the batching path (params_.batch.enabled) ------------------------
-  // A deliberate duplicate of the legacy broadcast/deliver pair rather
-  // than a refactor: the legacy path's per-receiver Rng draw sequence is
-  // a compatibility contract with the committed bench baselines, and a
-  // shared helper would be one accidental reordering away from breaking
-  // it.
-
-  /// Queues one engine frame as a DATA chunk of `from`'s next batch and
-  /// arms the flush when it is the first pending chunk.
-  void enqueue_batch(NodeId from, wire::Bytes payload);
-  /// Packs `from`'s pending chunks into BATCH datagrams and transmits
-  /// each through the radio model.
-  void flush_batch(NodeId from);
-  /// The per-receiver loop (loss, MTU, duty, faults) for one BATCH
-  /// datagram — the batch analogue of the body of broadcast().
-  void transmit_batch(NodeId from, wire::Bytes datagram);
-  /// Decodes a received BATCH and delivers its DATA chunks to the host;
-  /// fault-corrupted batches count net.frame.bad.
-  void deliver_batch_after(SimTime delay, NodeId from, NodeId to,
-                           std::shared_ptr<const wire::Bytes> datagram);
-
   NetworkParams params_;
   std::unique_ptr<obs::Hub> owned_hub_;  // set when constructed hub-less
   obs::Hub& hub_;
@@ -206,30 +175,8 @@ class Network {
   EventQueue events_;
   Topology topology_;
   Radio radio_;
-  // Pre-registered handles — the radio hot path never does a name lookup.
-  obs::Counter& radio_tx_;
-  obs::Counter& radio_tx_bytes_;
-  obs::Counter& radio_rx_;
-  obs::Counter& radio_lost_;
-  obs::Counter& link_up_;
-  obs::Counter& link_down_;
-  obs::Counter& mtu_drop_;
-  obs::Counter& duty_drop_;
-  // Registered only when params_.batch.enabled: a batching-off world
-  // must not grow new metric keys (committed baselines are
-  // byte-compared against the exported registry).
-  obs::Counter* batch_tx_ = nullptr;
-  obs::Counter* batch_chunks_ = nullptr;
-  obs::Counter* batch_flush_ = nullptr;
-  obs::Counter* batch_oversize_ = nullptr;
-  obs::Counter* frame_bad_ = nullptr;
+  RadioCounters radio_counters_;
   wire::FrameCodec frame_codec_;
-  /// Chunks awaiting the per-sender batch flush (batching mode only).
-  std::unordered_map<NodeId, std::vector<net::EncodedChunk>> batch_pending_;
-  /// Per-node hardware profiles; absent = full-power default.  Kept out
-  /// of NodeState so the "no profiles anywhere" hot path is one empty()
-  /// check.
-  std::unordered_map<NodeId, net::DeviceProfile> profiles_;
   std::unordered_map<NodeId, NodeState> nodes_;
   std::uint64_t next_node_ = 1;
   bool mobility_scheduled_ = false;

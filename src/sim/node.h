@@ -7,9 +7,7 @@
 // the paper describes.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <span>
 
 #include "common/ids.h"
 #include "wire/buffer.h"
@@ -20,19 +18,12 @@ class Host {
  public:
   virtual ~Host() = default;
 
-  /// A one-hop broadcast frame from `from` arrived.
+  /// A one-hop broadcast frame from `from` arrived.  One transmission
+  /// reaches many receivers as the *same* wire::Bytes object, so stacks
+  /// that cache decoded frames by buffer identity (wire::FrameCodec)
+  /// decode once per transmission instead of once per receiver.
   virtual void on_datagram(NodeId from,
-                           std::span<const std::uint8_t> payload) = 0;
-
-  /// Same upcall, but handing over the broadcast's shared buffer.  One
-  /// transmission reaches many receivers as the *same* wire::Bytes object;
-  /// stacks that cache decoded frames by buffer identity (wire::FrameCodec)
-  /// override this to decode once per transmission instead of once per
-  /// receiver.  Default: forwards to the span overload.
-  virtual void on_datagram(NodeId from,
-                           std::shared_ptr<const wire::Bytes> payload) {
-    if (payload != nullptr) on_datagram(from, std::span(*payload));
-  }
+                           std::shared_ptr<const wire::Bytes> payload) = 0;
 
   /// `neighbor` entered radio range (or joined the network).
   virtual void on_neighbor_up(NodeId neighbor) = 0;

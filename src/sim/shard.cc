@@ -11,15 +11,8 @@ ShardedSim::Shard::Shard(std::uint32_t index, std::uint32_t total,
       rng(Rng::stream(seed, index)),
       codec(hub.metrics),
       outbox(total),
-      radio_tx(hub.metrics.counter("radio.tx")),
-      radio_tx_bytes(hub.metrics.counter("radio.tx_bytes")),
-      radio_rx(hub.metrics.counter("radio.rx")),
-      radio_lost(hub.metrics.counter("radio.lost")),
-      link_up(hub.metrics.counter("link.up")),
-      link_down(hub.metrics.counter("link.down")),
-      mail_out(hub.metrics.counter("sim.shard.cross_deliveries")),
-      mtu_drop(hub.metrics.counter("net.mtu_drop")),
-      duty_drop(hub.metrics.counter("net.duty_drop")) {}
+      radio(hub.metrics),
+      mail_out(hub.metrics.counter("sim.shard.cross_deliveries")) {}
 
 ShardedSim::ShardedSim(ShardedParams params)
     : params_(params),
@@ -164,22 +157,12 @@ void ShardedSim::set_profile(NodeId id, net::DeviceProfile profile) {
     throw std::invalid_argument(
         "sharded simulation needs tx_delay_scale >= 1.0");
   }
-  if (profile.is_default()) {
-    profiles_.erase(id);
-  } else {
-    profiles_[id] = profile;
-  }
-}
-
-const net::DeviceProfile& ShardedSim::profile(NodeId id) const {
-  static const net::DeviceProfile kDefault{};
-  const auto it = profiles_.find(id);
-  return it == profiles_.end() ? kDefault : it->second;
+  radio_.set_profile(id, profile);
 }
 
 void ShardedSim::notify_link(NodeId node, NodeId neighbor, bool up) {
   Shard& s = shard_of_node(node);
-  (up ? s.link_up : s.link_down).inc();
+  (up ? s.radio.link_up : s.radio.link_down).inc();
   s.events.schedule_after(params_.link_detect_delay,
                           [this, node, neighbor, up] {
                             Host* host = state(node).host;
@@ -197,49 +180,26 @@ void ShardedSim::broadcast(NodeId from, wire::Bytes payload) {
   // at quiescent points (tuple injection).
   auto& st = state(from);
   Shard& s = *shards_[st.owner];
-  s.radio_tx.inc();
-  s.radio_tx_bytes.inc(static_cast<std::int64_t>(payload.size()));
+  const Radio::Transmission tx =
+      radio_.transmit(from, payload.size(), s.events.now(), s.radio);
   auto shared = std::make_shared<const wire::Bytes>(std::move(payload));
   // One buffer per destination shard: same-shard receivers share
   // `shared` (decode-once in this shard's codec); each foreign shard
   // gets one private copy shared by that shard's receivers, so the
   // decode-once property survives the crossing.
   std::vector<std::shared_ptr<const wire::Bytes>> per_dst;
-  // Device heterogeneity (net/device_profile.h): pure time/size checks,
-  // no Rng draws, so profile-free worlds keep the exact per-shard
-  // streams the committed baselines pin.
-  const net::DeviceProfile* sender =
-      profiles_.empty() ? nullptr : &profile(from);
   for (const NodeId to : st.neighbors) {
-    if (sender != nullptr) {
-      const std::size_t mtu =
-          net::DeviceProfile::link_mtu(*sender, profile(to));
-      if (mtu != 0 && shared->size() > mtu) {
-        s.mtu_drop.inc();
-        continue;
-      }
-    }
-    if (!radio_.delivered(s.rng)) {
-      s.radio_lost.inc();
-      continue;
-    }
-    SimTime delay = radio_.delay(s.rng, shared->size());
-    if (sender != nullptr) {
-      if (sender->tx_delay_scale != 1.0) delay = delay * sender->tx_delay_scale;
-      if (!profile(to).awake_at(s.events.now() + delay)) {
-        s.duty_drop.inc();
-        continue;
-      }
-    }
+    const auto delay = radio_.receive(tx, to, s.rng, s.radio);
+    if (!delay.has_value()) continue;
     const std::uint32_t dst = state(to).owner;
     if (dst == st.owner) {
       s.events.schedule_after(
-          delay, [this, from, to, shared] { deliver(from, to, shared); });
+          *delay, [this, from, to, shared] { deliver(from, to, shared); });
     } else {
       if (per_dst.empty()) per_dst.resize(shards_.size());
       auto& buf = per_dst[dst];
       if (buf == nullptr) buf = std::make_shared<const wire::Bytes>(*shared);
-      s.outbox[dst].push_back(Mail{s.events.now() + delay, from, to, buf});
+      s.outbox[dst].push_back(Mail{tx.sent_at + *delay, from, to, buf});
       s.mail_out.inc();
     }
   }
@@ -249,7 +209,7 @@ void ShardedSim::deliver(NodeId from, NodeId to,
                          std::shared_ptr<const wire::Bytes> payload) {
   auto& st = state(to);
   if (st.host == nullptr) return;
-  shards_[st.owner]->radio_rx.inc();
+  shards_[st.owner]->radio.rx.inc();
   st.host->on_datagram(from, std::move(payload));
 }
 

@@ -24,10 +24,12 @@
 // the exact event timings — but not the converged TOTA state, which
 // tests/test_shard.cc pins against the BFS oracle for 1/2/4 shards.
 //
-// What ShardedSim deliberately does not do (use sim::Network instead):
-// mobility models, wired mode, fault injection, despawn.  Population is
-// frozen at seal(); churn is expressed with move_node() at quiescent
-// points, exactly like the emulator's drag-and-drop teleports.
+// The link model — loss, latency, device profiles — is sim::Radio, shared
+// with sim::Network.  What ShardedSim deliberately does not do (use
+// sim::Network instead): mobility models, wired mode, fault injection,
+// despawn.  Population is frozen at seal(); churn is expressed with
+// move_node() at quiescent points, exactly like the emulator's
+// drag-and-drop teleports.
 #pragma once
 
 #include <barrier>
@@ -35,7 +37,6 @@
 #include <memory>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
@@ -104,7 +105,6 @@ class ShardedSim {
   /// undercut the conservative lookahead).  Worlds that never set a
   /// profile keep the exact pre-profile Rng streams.
   void set_profile(NodeId id, net::DeviceProfile profile);
-  [[nodiscard]] const net::DeviceProfile& profile(NodeId id) const;
 
   // --- node-side services (used by emu::ShardPlatform) ------------------
 
@@ -176,15 +176,8 @@ class ShardedSim {
     wire::FrameCodec codec;
     /// outbox[d]: mail for shard d generated during the current epoch.
     std::vector<std::vector<Mail>> outbox;
-    obs::Counter& radio_tx;
-    obs::Counter& radio_tx_bytes;
-    obs::Counter& radio_rx;
-    obs::Counter& radio_lost;
-    obs::Counter& link_up;
-    obs::Counter& link_down;
+    RadioCounters radio;
     obs::Counter& mail_out;
-    obs::Counter& mtu_drop;
-    obs::Counter& duty_drop;
   };
 
   struct NodeState {
@@ -213,10 +206,6 @@ class ShardedSim {
   Radio radio_;
   Topology topology_;
   std::vector<NodeState> nodes_;  // indexed by NodeId value; slot 0 unused
-  /// Per-node hardware profiles; absent = full-power default.  Mutated
-  /// only at quiescent points, read concurrently (read-only) by shard
-  /// threads during epochs.
-  std::unordered_map<NodeId, net::DeviceProfile> profiles_;
   std::uint64_t next_node_ = 1;
   bool sealed_ = false;
   std::vector<std::unique_ptr<Shard>> shards_;

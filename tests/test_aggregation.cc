@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/crowd.h"
@@ -479,49 +480,110 @@ TEST(DeviceProfileTest, LinkMtuIsTheTighterEndpoint) {
   EXPECT_EQ(net::DeviceProfile::link_mtu(gw, big), 1024u);
 }
 
+/// The simulator stack under a device-profile test: emu::World over
+/// sim::Network (shards == 0) or emu::ShardedWorld over sim::ShardedSim
+/// at `shards` shards.  Both decide each receiver's fate through the
+/// same sim::Radio, so every profile test runs on every stack.
+class ProfileStack {
+ public:
+  explicit ProfileStack(std::uint32_t shards) {
+    if (shards == 0) {
+      world_ = std::make_unique<emu::World>(world_options());
+      return;
+    }
+    emu::ShardedWorld::Options o;
+    o.net.radio.range_m = 65.0;
+    o.net.seed = 21;
+    o.net.shards = shards;
+    sharded_ = std::make_unique<emu::ShardedWorld>(o);
+  }
+
+  std::vector<NodeId> spawn_grid(int rows, int cols, double spacing) {
+    return world_ ? world_->spawn_grid(rows, cols, spacing)
+                  : sharded_->spawn_grid(rows, cols, spacing);
+  }
+  void set_profile(NodeId id, net::DeviceProfile profile) {
+    world_ ? world_->set_profile(id, profile)
+           : sharded_->set_profile(id, profile);
+  }
+  Middleware& mw(NodeId id) {
+    return world_ ? world_->mw(id) : sharded_->mw(id);
+  }
+  void run_for(SimTime duration) {
+    world_ ? world_->run_for(duration) : sharded_->run_for(duration);
+  }
+  /// A counter of the whole world (merged over shards when sharded).
+  [[nodiscard]] std::int64_t counter(const std::string& name) const {
+    if (world_) return world_->hub().metrics.get(name);
+    obs::MetricsRegistry merged;
+    sharded_->export_metrics(merged);
+    return merged.get(name);
+  }
+
+ private:
+  std::unique_ptr<emu::World> world_;
+  std::unique_ptr<emu::ShardedWorld> sharded_;
+};
+
+/// Shard counts of the stacks every profile test runs on (0 = World).
+constexpr std::uint32_t kProfileStacks[] = {0, 1, 2};
+
 TEST(DeviceProfileSimTest, TinyMtuDropsFramesAndCounts) {
-  emu::World world(world_options());
-  const auto ids = world.spawn_grid(1, 2, 50.0);
-  net::DeviceProfile constrained;
-  constrained.mtu = 8;  // nothing real fits in 8 bytes
-  world.set_profile(ids[1], constrained);
-  world.run_for(SimTime::from_seconds(1));
-  world.mw(ids[0]).inject(std::make_unique<GradientTuple>("field"));
-  world.run_for(SimTime::from_seconds(2));
-  EXPECT_TRUE(world.mw(ids[1]).read(Pattern::of_type(GradientTuple::kTag))
-                  .empty());
-  EXPECT_GT(world.hub().metrics.counter("net.mtu_drop").value(), 0);
+  for (const std::uint32_t shards : kProfileStacks) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ProfileStack stack(shards);
+    const auto ids = stack.spawn_grid(1, 2, 50.0);
+    net::DeviceProfile constrained;
+    constrained.mtu = 8;  // nothing real fits in 8 bytes
+    stack.set_profile(ids[1], constrained);
+    stack.run_for(SimTime::from_seconds(1));
+    stack.mw(ids[0]).inject(std::make_unique<GradientTuple>("field"));
+    stack.run_for(SimTime::from_seconds(2));
+    EXPECT_TRUE(stack.mw(ids[1]).read(Pattern::of_type(GradientTuple::kTag))
+                    .empty());
+    EXPECT_GT(stack.counter("net.mtu_drop"), 0);
+  }
 }
 
 TEST(DeviceProfileSimTest, SleepingReceiverMissesFramesAndCounts) {
-  emu::World world(world_options());
-  const auto ids = world.spawn_grid(1, 2, 50.0);
-  net::DeviceProfile sleepy;
-  sleepy.duty_cycle = 0.01;
-  sleepy.duty_period = SimTime::from_seconds(10);  // asleep ~forever
-  world.set_profile(ids[1], sleepy);
-  world.run_for(SimTime::from_millis(200));  // within the awake sliver
-  world.run_for(SimTime::from_seconds(1));
-  world.mw(ids[0]).inject(std::make_unique<GradientTuple>("field"));
-  world.run_for(SimTime::from_seconds(2));
-  EXPECT_GT(world.hub().metrics.counter("net.duty_drop").value(), 0);
+  for (const std::uint32_t shards : kProfileStacks) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ProfileStack stack(shards);
+    const auto ids = stack.spawn_grid(1, 2, 50.0);
+    net::DeviceProfile sleepy;
+    sleepy.duty_cycle = 0.01;
+    sleepy.duty_period = SimTime::from_seconds(10);  // asleep ~forever
+    stack.set_profile(ids[1], sleepy);
+    stack.run_for(SimTime::from_millis(200));  // within the awake sliver
+    stack.run_for(SimTime::from_seconds(1));
+    stack.mw(ids[0]).inject(std::make_unique<GradientTuple>("field"));
+    stack.run_for(SimTime::from_seconds(2));
+    EXPECT_GT(stack.counter("net.duty_drop"), 0);
+  }
 }
 
 TEST(DeviceProfileSimTest, ProfilesOffKeepsCountersAtZero) {
-  emu::World world(world_options());
-  const auto ids = world.spawn_grid(2, 2, 50.0);
-  world.run_for(SimTime::from_seconds(1));
-  world.mw(ids[0]).inject(std::make_unique<GradientTuple>("field"));
-  world.run_for(SimTime::from_seconds(2));
-  EXPECT_EQ(world.hub().metrics.counter("net.mtu_drop").value(), 0);
-  EXPECT_EQ(world.hub().metrics.counter("net.duty_drop").value(), 0);
+  for (const std::uint32_t shards : kProfileStacks) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ProfileStack stack(shards);
+    const auto ids = stack.spawn_grid(2, 2, 50.0);
+    stack.run_for(SimTime::from_seconds(1));
+    stack.mw(ids[0]).inject(std::make_unique<GradientTuple>("field"));
+    stack.run_for(SimTime::from_seconds(2));
+    EXPECT_GT(stack.counter("radio.rx"), 0);
+    EXPECT_EQ(stack.counter("net.mtu_drop"), 0);
+    EXPECT_EQ(stack.counter("net.duty_drop"), 0);
+  }
 }
 
 TEST(DeviceProfileSimTest, UnknownNodeProfileThrows) {
-  emu::World world(world_options());
-  (void)world.spawn_grid(1, 2, 50.0);
-  EXPECT_THROW(world.set_profile(NodeId(9999), net::DeviceProfile{}),
-               std::invalid_argument);
+  for (const std::uint32_t shards : kProfileStacks) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ProfileStack stack(shards);
+    (void)stack.spawn_grid(1, 2, 50.0);
+    EXPECT_THROW(stack.set_profile(NodeId(9999), net::DeviceProfile{}),
+                 std::invalid_argument);
+  }
 }
 
 // --- sharded worlds ---------------------------------------------------------

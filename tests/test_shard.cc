@@ -43,8 +43,8 @@ class RecordingHost final : public sim::Host {
   RecordingHost(sim::ShardedSim& sim, NodeId self) : sim_(sim), self_(self) {}
 
   void on_datagram(NodeId from,
-                   std::span<const std::uint8_t> payload) override {
-    datagrams.push_back({from, sim_.node_now(self_), payload.size()});
+                   std::shared_ptr<const wire::Bytes> payload) override {
+    datagrams.push_back({from, sim_.node_now(self_), payload->size()});
   }
   void on_neighbor_up(NodeId neighbor) override { ups.push_back(neighbor); }
   void on_neighbor_down(NodeId neighbor) override {

@@ -1,14 +1,12 @@
 // Unit tests for the network simulator substrate.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <vector>
 
 #include "sim/event_queue.h"
 #include "sim/mobility.h"
 #include "sim/network.h"
 #include "sim/topology.h"
-#include "sim/trace.h"
 
 namespace tota::sim {
 namespace {
@@ -222,8 +220,8 @@ TEST(MobilityTest, VelocityMobilityIntegratesAndClamps) {
 class RecordingHost : public Host {
  public:
   void on_datagram(NodeId from,
-                   std::span<const std::uint8_t> payload) override {
-    datagrams.push_back({from, wire::Bytes(payload.begin(), payload.end())});
+                   std::shared_ptr<const wire::Bytes> payload) override {
+    datagrams.push_back({from, *payload});
   }
   void on_neighbor_up(NodeId n) override { ups.push_back(n); }
   void on_neighbor_down(NodeId n) override { downs.push_back(n); }
@@ -472,20 +470,6 @@ TEST(WiredNetworkTest, ConnectDisconnectFireLinkEvents) {
   net.disconnect(a, b);
   net.run_for(SimTime::from_seconds(1));
   EXPECT_EQ(h1.downs, std::vector<NodeId>{b});
-}
-
-TEST(TraceTest, RecordsAndCounts) {
-  Trace trace;
-  trace.record(SimTime::from_seconds(1), "delivery", NodeId{1}, 0.5, "ok");
-  trace.record(SimTime::from_seconds(2), "delivery", NodeId{2}, 0.7);
-  trace.record(SimTime::from_seconds(3), "repair", NodeId{1}, 1.0);
-  EXPECT_EQ(trace.count("delivery"), 2u);
-  EXPECT_EQ(trace.count("repair"), 1u);
-  std::ostringstream out;
-  trace.write_csv(out);
-  EXPECT_NE(out.str().find("time_s,kind,node,value,detail"),
-            std::string::npos);
-  EXPECT_NE(out.str().find("delivery"), std::string::npos);
 }
 
 }  // namespace
